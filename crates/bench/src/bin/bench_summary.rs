@@ -6,8 +6,8 @@
 //! (H6 / steepest descent / tabu over the shared H4w seed), branch-and-bound
 //! node throughput (staged evaluator vs legacy scan, plus the
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
-//! LP-warm-started bound — the node collapse is the point), what-if cost on a
-//! tree-shaped instance (the forest variant of the dense fast path vs a
+//! Lagrangian dual bound — fewer nodes *and* less wall clock), what-if cost
+//! on a tree-shaped instance (the forest variant of the dense fast path vs a
 //! full recompute), the steepest-descent sweep with and without the
 //! dirty-candidate cache on both the forest and the chain shape (periods
 //! identical by construction; the `evaluator_calls` column is the point —
@@ -397,38 +397,49 @@ fn main() {
         });
     }
 
-    // LP-bound tree collapse: on a machine-rich shape (m ≫ p) both bound
+    // Dual-bound tree collapse: on a machine-rich shape (m ≫ p) both bound
     // variants prove the same optimum, so the `nodes` columns compare the
-    // full proof trees — the LP row must visit ≤ 50 % of the packing row's
-    // nodes (the CI floor in mf-exact pins the same invariant). The LP
-    // relaxation costs ~ms per touched node, so this pair runs on its own
-    // small fixture with a reduced iteration count; the collapse ratio, not
-    // wall clock, is the headline here.
-    let lp_fixture = standard_instance(12, 16, 3, 7);
-    let lp_iterations = if quick { 2 } else { 3 };
-    for (name, lp) in [("bnb_prove/packing", false), ("bnb_prove/lp_bound", true)] {
+    // full proof trees — the dual row must visit ≤ 50 % of the packing row's
+    // nodes (the CI floor in mf-exact pins the same invariant) and, since
+    // the dual tier is solver-free, also take less wall clock.
+    let prove_fixture = standard_instance(12, 16, 3, 7);
+    let mut proofs = Vec::new();
+    for (name, lp) in [("bnb_prove/packing", false), ("bnb_prove/dual_bound", true)] {
         let config = || BnbConfig {
             lp_bounds: lp,
             ..BnbConfig::default()
         };
-        let outcome = branch_and_bound(&lp_fixture, config()).unwrap();
+        let outcome = branch_and_bound(&prove_fixture, config()).unwrap();
         assert!(
             outcome.proven_optimal,
             "{name} must prove optimality on the m >> p fixture"
         );
-        let measured = timing(time(lp_iterations, || {
-            branch_and_bound(&lp_fixture, config()).unwrap()
+        let measured = timing(time(iterations, || {
+            branch_and_bound(&prove_fixture, config()).unwrap()
         }));
         rows.push(Measurement {
             name,
             timing: measured,
-            iterations: lp_iterations,
+            iterations,
             quality: Quality::Nodes {
                 count: outcome.nodes,
                 per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
             },
         });
+        proofs.push(outcome);
     }
+    let (packing, dual) = (&proofs[0], &proofs[1]);
+    assert_eq!(
+        dual.period.value().to_bits(),
+        packing.period.value().to_bits(),
+        "the dual bound must prove the packing bound's optimum"
+    );
+    assert!(
+        dual.nodes * 2 <= packing.nodes,
+        "the dual bound visited {} nodes, the packing bound {} — above the 50% floor",
+        dual.nodes,
+        packing.nodes
+    );
 
     let mut json = String::new();
     json.push_str("{\n");

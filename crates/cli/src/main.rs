@@ -89,7 +89,7 @@ COMMANDS:
              improved the incumbent), per-round cell summaries and
              sweep-cache outcomes — the mapping printed is bit-identical
              with or without the flag; --anytime runs the incumbent/bound
-             race (H4w seed, subtree-move LNS slice, LP-warm-started
+             race (H4w seed, subtree-move LNS slice, dual-bounded
              branch-and-bound) under a --budget of deterministic steps
              (default 200000), printing every improvement and the live
              optimality gap to stderr

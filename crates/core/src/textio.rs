@@ -107,6 +107,21 @@ fn parse_usize(token: Option<&str>, line: usize, what: &str) -> Result<usize> {
         .ok_or_else(|| parse_error(line, format!("expected {what} (unsigned integer)")))
 }
 
+/// Rejects a declared size that no input of `text`'s length can complete.
+/// A complete instance spends at least one line per task, type and machine,
+/// and per `time` (`p × m`) and `failure` (`n × m`) table entry, so a larger
+/// size cannot be satisfied; checking it before allocating keeps a hostile
+/// header from sizing the parser's tables.
+fn check_size(entries: usize, line: usize, what: &str, text: &str) -> Result<()> {
+    if entries > text.len() {
+        return Err(parse_error(
+            line,
+            format!("{what} {entries} exceeds the {}-byte input", text.len()),
+        ));
+    }
+    Ok(())
+}
+
 fn parse_f64(token: Option<&str>, line: usize, what: &str) -> Result<f64> {
     token
         .and_then(|t| t.parse::<f64>().ok())
@@ -131,19 +146,36 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
         }
         let mut tokens = line.split_whitespace();
         let keyword = tokens.next().expect("non-empty line has a first token");
+        let declared = match keyword {
+            "tasks" => task_count.is_some(),
+            "machines" => machine_count.is_some(),
+            "types" => type_count.is_some(),
+            _ => false,
+        };
+        if declared {
+            // A repeated header would re-size the tables once per line.
+            return Err(parse_error(
+                line_number,
+                format!("duplicate `{keyword}` header"),
+            ));
+        }
         match keyword {
             "tasks" => {
                 let n = parse_usize(tokens.next(), line_number, "task count")?;
+                check_size(n, line_number, "task count", text)?;
                 task_count = Some(n);
                 task_types = vec![None; n];
                 successors = vec![None; n];
                 failures = vec![Vec::new(); n];
             }
             "machines" => {
-                machine_count = Some(parse_usize(tokens.next(), line_number, "machine count")?);
+                let m = parse_usize(tokens.next(), line_number, "machine count")?;
+                check_size(m, line_number, "machine count", text)?;
+                machine_count = Some(m);
             }
             "types" => {
                 let p = parse_usize(tokens.next(), line_number, "type count")?;
+                check_size(p, line_number, "type count", text)?;
                 type_count = Some(p);
                 times = vec![Vec::new(); p];
             }
@@ -185,6 +217,7 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
                     return Err(parse_error(line_number, "time entry out of range"));
                 }
                 if times[ty].is_empty() {
+                    check_size(p.saturating_mul(m), line_number, "types × machines", text)?;
                     times[ty] = vec![None; m];
                 }
                 times[ty][machine] = Some(value);
@@ -201,6 +234,7 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
                     return Err(parse_error(line_number, "failure entry out of range"));
                 }
                 if failures[task].is_empty() {
+                    check_size(n.saturating_mul(m), line_number, "tasks × machines", text)?;
                     failures[task] = vec![None; m];
                 }
                 failures[task][machine] = Some(value);
@@ -389,6 +423,26 @@ mod tests {
         assert!(err.to_string().contains("bogus"));
         let err = mapping_from_text("machines 2\nassign 1 0\n").unwrap_err();
         assert!(err.to_string().contains("task 0"));
+    }
+
+    #[test]
+    fn oversized_header_counts_are_rejected_without_allocating() {
+        for header in ["tasks", "machines", "types"] {
+            let err = instance_from_text(&format!("{header} 18446744073709551615\n")).unwrap_err();
+            assert!(err.to_string().contains("exceeds"), "{header}: {err}");
+        }
+        // Small enough to allocate, far too large for its one-line payload.
+        let err = instance_from_text("tasks 99999999").unwrap_err();
+        assert!(err.to_string().contains("line 1"), "{err}");
+        // Counts that pass one by one but whose table cannot fit.
+        let text = "tasks 40\nmachines 40\ntypes 1\nfailure 0 0 0.1\n";
+        let err = instance_from_text(text).unwrap_err();
+        assert!(err.to_string().contains("tasks × machines"), "{err}");
+        let err = instance_from_text("tasks 1\ntasks 1\n").unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "{err}");
+        // A header exactly at the byte length is only rejected later, as
+        // an incomplete instance.
+        assert!(instance_from_text("tasks 8\n").is_err());
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!   for every remaining task, its smallest possible contribution on any
 //!   machine; dividing by `m` bounds the final makespan from below.
 //!
+//! With [`BnbConfig::lp_bounds`], nodes both bounds fail to prune consult a
+//! third, stronger one: a certified Lagrangian dual bound of the filtered
+//! load-splitting LP relaxation (see [`DualBound`]), solver-free and
+//! warm-started down the search path.
+//!
 //! Node scoring goes through a per-search-path
 //! [`PartialAssignmentEvaluator`]: placements and backtracks update the
 //! staged machine loads in `O(log m)` and the load-maximum bound is read in
@@ -30,7 +35,6 @@
 
 use mf_core::prelude::*;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
-use mf_lp::simplex::{resolve_tightened, solve as lp_solve, LpSolution};
 use mf_lp::{ConstraintSense, LpProblem, Objective, VariableId};
 
 /// Configuration of the branch-and-bound search.
@@ -46,13 +50,13 @@ pub struct BnbConfig {
     /// the bit-identical tree; this hook exists so the `search_strategies`
     /// bench (and any regression hunt) can compare per-node cost.
     pub legacy_bounds: bool,
-    /// Prune with the load-splitting LP relaxation on top of the packing
-    /// bound (see [`LpBoundState`]'s module comments): each node that the
-    /// packing bound fails to prune solves an LP whose optimum certifiably
-    /// dominates it, warm-started from the parent node's optimum down the
-    /// search path. The explored tree shrinks (dramatically on `m ≫ p`
-    /// instances); the optimum found is unchanged. Off by default — on
-    /// small trees the packing bound alone is cheaper.
+    /// Prune with the Lagrangian dual of the filtered load-splitting LP
+    /// relaxation on top of the packing bound (see [`DualBound`]): each node
+    /// that the cheap bounds fail to prune evaluates a certified dual bound
+    /// in `O(n·m)` per step, warm-started from its parent's multipliers. The
+    /// explored tree shrinks (dramatically on `m ≫ p` instances); the
+    /// optimum found is unchanged. Off by default — on small trees the
+    /// packing bound alone is cheaper.
     pub lp_bounds: bool,
 }
 
@@ -88,252 +92,242 @@ pub struct BnbOutcome {
     pub proven_optimal: bool,
     /// Number of nodes explored.
     pub nodes: u64,
-    /// LP relaxations solved from scratch (0 unless
+    /// Nodes where the dual bound tier ran (0 unless
     /// [`BnbConfig::lp_bounds`]).
     pub lp_solves: u64,
-    /// LP solves answered by reusing the parent node's still-feasible
-    /// optimum (zero simplex pivots).
+    /// Of those, nodes pruned by the multipliers inherited from the parent,
+    /// before any gradient step.
     pub lp_reuses: u64,
 }
 
-/// The filtered load-splitting LP relaxation driving
-/// [`BnbConfig::lp_bounds`].
+/// Exponentiated-gradient steps the dual tier takes per node after
+/// evaluating the inherited multipliers. Each step costs one `O(n·m)`
+/// evaluation; deeper nodes start from their parent's best multipliers, so
+/// a couple per node track the dual optimum down the search path (more
+/// steps shrink the tree a little but cost more than they save).
+const DUAL_STEPS: usize = 2;
+
+/// Exponentiated-gradient step size, applied to the subgradient normalised
+/// by its largest entry (so one step scales a multiplier by at most
+/// `e^DUAL_STEP_SIZE`).
+const DUAL_STEP_SIZE: f64 = 4.0;
+
+/// The Lagrangian dual bound driving [`BnbConfig::lp_bounds`].
 ///
-/// Variables: `x[i][u] ≥ 0` — the fraction of task `i` carried by machine
-/// `u` — and the makespan `K`. Rows:
+/// The node relaxation is the load-splitting LP: fractional shares of every
+/// free task `i` over the machines, each share costing `c[i][u]` (task
+/// `i`'s mapping-independent demand lower bound times its effective time on
+/// `u`), minimising the makespan `K` over `load_u + Σ_i c[i][u]·x[i][u] ≤ K`.
+/// Relaxing the machine rows with multipliers `λ` on the probability simplex
+/// gives, by weak duality, a lower bound for **every** `λ` with no solver
+/// involved:
 ///
-/// * per machine `u`: `Σ_i c[i][u]·x[i][u] − K ≤ −δ_u`, where `c[i][u]` is
-///   task `i`'s *lower-bound* contribution on `u` (its mapping-independent
-///   output-demand lower bound times the effective time) and `δ_u`
-///   accumulates, for every task already seated on `u`, the gap between its
-///   exact staged contribution and `c`;
-/// * per task `i`: `Σ_u x[i][u] = 1`.
+/// `L(λ) = Σ_u λ_u·load_u + Σ_{free i} min_{u allowed} λ_u·c[i][u]`
 ///
-/// Unfiltered (the root call of [`lp_root_bound`]), the minimum `K` is a
-/// certified lower bound on every mapping's period, dominating the packing
-/// bound `(total_load + Σ remaining min-contributions)/m` (sum the machine
-/// rows). Inside the search the relaxation is *filtered* in the
-/// Lenstra–Shmoys–Tardos style against the incumbent threshold `θ =
-/// incumbent·(1−tolerance)`: a placement `(i, u)` with `load_u + c[i][u] ≥
-/// θ`, or on a machine dedicated to another type, cannot appear in any
-/// specialized completion beating the incumbent, so `x[i][u]` is fixed to
-/// zero. The filtered optimum lower-bounds every completion better than the
-/// threshold it was filtered at, so `optimum ≥ θ` — or outright
-/// infeasibility — proves no such completion exists and prunes the node.
-/// This is far stronger than the unfiltered splitting bound: remaining
-/// tasks can no longer escape fractionally onto machines they could never
-/// integrally use.
+/// (`λ = e_u` is the max-staged-load bound, uniform `λ` the average-work
+/// bound). The relaxation is *filtered* Lenstra–Shmoys–Tardos style against
+/// the incumbent threshold `θ = incumbent·(1−tolerance)`: a placement
+/// `(i, u)` with `load_u + c[i][u] ≥ θ`, or on a machine dedicated to
+/// another type, cannot appear in any specialized completion beating the
+/// incumbent, so it is not *allowed*. `L(λ)` then lower-bounds every
+/// completion better than `θ`, so `L(λ) ≥ θ` — or a free task with no
+/// allowed machine at all — proves no such completion exists and prunes the
+/// node.
 ///
-/// The problem is built **once**; walking down the search path only
-/// tightens it — seating fixes an `x` row to an integral point
-/// (`set_bounds`) and lowers one machine row's right-hand side
-/// (`set_constraint_rhs`); filtering adds zero-fixings (loads only grow and
-/// the threshold only drops, so ancestors' filters stay valid). Pure
-/// feasible-region shrinkage means the nearest ancestor's optimum is a
-/// sound warm start ([`resolve_tightened`]): when still feasible it is
-/// provably still optimal and costs zero pivots — which happens exactly
-/// when the branched placement was already integral in the parent optimum,
-/// the common case deep in a well-filtered tree.
-struct LpBoundState {
-    problem: LpProblem,
-    /// `x` variable ids, row-major `task · m + machine`.
-    x: Vec<VariableId>,
-    /// Whether an `x` variable is currently fixed (by a seat or a filter).
-    fixed: Vec<bool>,
-    /// Constraint indices of the machine rows (one per machine).
-    machine_rows: Vec<usize>,
-    /// Current correction `δ_u` per machine.
-    corrections: Vec<f64>,
-    /// Lower-bound contribution `c[i][u]`, row-major.
+/// Each node starts from its parent's best multipliers (one row per depth;
+/// the root starts uniform) and climbs `L` with [`DUAL_STEPS`]
+/// exponentiated-gradient steps along the subgradient
+/// `g_u = load_u + Σ_{i→u} c[i][u]` (`i→u`: the machine attaining task
+/// `i`'s minimum), stopping as soon as the bound reaches `θ`. Its best value
+/// is inherited by the children exactly like the packing bound: `θ` only
+/// drops and loads only grow down the path, so it stays valid there.
+///
+/// Certification: every term of `L` is nonnegative (no cancellation) and
+/// the value is divided by the float sum of the multipliers, so the float
+/// evaluation is within a relative `(n+2m+1)·ε` (to first order) of the
+/// exact `L(λ/Σλ)`. Shrinking it by `4·(n+m+2)·ε`, more than twice that,
+/// makes the bound valid under rounding, not merely at tolerance.
+struct DualBound {
+    /// Lower-bound contribution `c[i][u]`, row-major `task · m + machine`.
     costs: Vec<f64>,
     machines: usize,
-    solves: u64,
-    reuses: u64,
+    /// Warm-start multipliers, one row of `m` per depth: row `d` is what a
+    /// node at depth `d` starts from (its parent's best).
+    rows: Vec<f64>,
+    /// The current iterate.
+    lambda: Vec<f64>,
+    /// The node's staged machine loads, clamped at zero.
+    loads: Vec<f64>,
+    /// The subgradient at the last evaluated iterate.
+    gradient: Vec<f64>,
+    /// The placements `(u, c[i][u])` surviving the node's filters, free
+    /// task after free task.
+    allowed: Vec<(usize, f64)>,
+    /// Per free task, the end of its run in `allowed`.
+    ends: Vec<usize>,
+    /// `1 − 4·(n+m+2)·ε`: the certification shrink factor.
+    shrink: f64,
+    /// Nodes where the tier ran.
+    runs: u64,
+    /// Nodes pruned by the inherited multipliers before any gradient step.
+    inherited_prunes: u64,
 }
 
-/// Undo record of one [`LpBoundState::seat`]: the seated task's previous
-/// per-machine bounds and fixed flags (a filter may already have zeroed some
-/// of them at a shallower node).
-struct LpSeat {
-    task: usize,
-    machine: usize,
-    correction: f64,
-    prior: Vec<(f64, Option<f64>, bool)>,
-}
-
-/// Verdict of one [`LpBoundState::bound`] call.
-enum LpVerdict {
-    /// The relaxation solved; the optimum lower-bounds every completion
-    /// beating the threshold the filters were applied at.
-    Bound(LpSolution),
-    /// The filtered relaxation is infeasible: no completion can beat the
-    /// incumbent threshold. Prune.
-    Infeasible,
-    /// The simplex failed (iteration cap); fall back to the cheap bounds.
-    Unavailable,
-}
-
-impl LpBoundState {
-    fn new(instance: &Instance) -> Result<Self> {
+impl DualBound {
+    fn new(instance: &Instance, depths: usize) -> Result<Self> {
         let n = instance.task_count();
         let m = instance.machine_count();
-        let lower_demand = instance.demand_lower_bounds()?;
-        let app = instance.application();
-        let mut costs = vec![0.0; n * m];
-        for i in 0..n {
-            let task = TaskId(i);
-            let d = match app.successor(task) {
-                None => 1.0,
-                Some(succ) => lower_demand[succ.index()],
-            };
-            for u in 0..m {
-                costs[i * m + u] = d * instance.effective_time(task, MachineId(u));
-            }
-        }
-
-        let mut problem = LpProblem::new(Objective::Minimize);
-        let x: Vec<VariableId> = (0..n * m)
-            .map(|j| problem.add_variable(format!("x{}_{}", j / m, j % m)))
-            .collect();
-        let k = problem.add_variable("K");
-        problem.set_objective_coefficient(k, 1.0);
-        let machine_rows: Vec<usize> = (0..m)
-            .map(|u| {
-                let mut terms: Vec<(VariableId, f64)> =
-                    (0..n).map(|i| (x[i * m + u], costs[i * m + u])).collect();
-                terms.push((k, -1.0));
-                problem.add_constraint(terms, ConstraintSense::LessEqual, 0.0)
-            })
-            .collect();
-        for i in 0..n {
-            let terms: Vec<(VariableId, f64)> = (0..m).map(|u| (x[i * m + u], 1.0)).collect();
-            problem.add_constraint(terms, ConstraintSense::Equal, 1.0);
-        }
-
-        Ok(LpBoundState {
-            problem,
-            x,
-            fixed: vec![false; n * m],
-            machine_rows,
-            corrections: vec![0.0; m],
-            costs,
+        let mut rows = vec![0.0; (depths + 1) * m];
+        rows[..m].fill(1.0 / m as f64);
+        Ok(DualBound {
+            costs: lower_bound_costs(instance)?,
             machines: m,
-            solves: 0,
-            reuses: 0,
+            rows,
+            lambda: vec![0.0; m],
+            loads: vec![0.0; m],
+            gradient: vec![0.0; m],
+            allowed: Vec::with_capacity(n * m),
+            ends: Vec::with_capacity(n),
+            shrink: 1.0 - 4.0 * (n + m + 2) as f64 * f64::EPSILON,
+            runs: 0,
+            inherited_prunes: 0,
         })
     }
 
-    /// Tightens the LP for seating `task` on `machine` with the exact staged
-    /// contribution `increment`. Returns the undo record.
-    fn seat(&mut self, task: TaskId, machine: MachineId, increment: f64) -> LpSeat {
-        let (i, w) = (task.index(), machine.index());
-        let mut prior = Vec::with_capacity(self.machines);
-        for u in 0..self.machines {
-            let j = i * self.machines + u;
-            let var = &self.problem.variables()[self.x[j].index()];
-            prior.push((var.lower, var.upper, self.fixed[j]));
-            let (lo, hi) = if u == w { (1.0, 1.0) } else { (0.0, 0.0) };
-            self.problem.set_bounds(self.x[j], lo, Some(hi));
-            self.fixed[j] = true;
-        }
-        // The exact contribution is at least the lower-bound cost; clamp the
-        // correction at zero so float noise can never *loosen* a row.
-        let correction = (increment - self.costs[i * self.machines + w]).max(0.0);
-        self.corrections[w] += correction;
-        self.problem
-            .set_constraint_rhs(self.machine_rows[w], -self.corrections[w]);
-        LpSeat {
-            task: i,
-            machine: w,
-            correction,
-            prior,
-        }
-    }
-
-    /// Reverts one [`seat`](Self::seat).
-    fn unseat(&mut self, undo: LpSeat) {
-        for (u, &(lower, upper, was_fixed)) in undo.prior.iter().enumerate() {
-            let j = undo.task * self.machines + u;
-            self.problem.set_bounds(self.x[j], lower, upper);
-            self.fixed[j] = was_fixed;
-        }
-        self.corrections[undo.machine] -= undo.correction;
-        self.problem.set_constraint_rhs(
-            self.machine_rows[undo.machine],
-            -self.corrections[undo.machine],
-        );
-    }
-
-    /// Applies the incumbent filters at a node: every still-free placement
-    /// `(i, u)` that no specialized completion beating `threshold` can use —
-    /// its machine is dedicated to another type, or its exact load floor
-    /// `load_u + c[i][u]` already reaches the threshold — is fixed to zero.
-    /// Returns the variables newly fixed, for [`undo_filters`]
-    /// (ancestor filters stay valid deeper: loads only grow and the
-    /// threshold only drops, so they are left in place for the subtree).
-    ///
-    /// [`undo_filters`]: Self::undo_filters
-    fn apply_filters(
+    /// Runs the tier at a node at `depth`: filters against `threshold`,
+    /// then climbs from the inherited multipliers. Returns the best
+    /// certified bound found (`∞` when a free task has no allowed machine),
+    /// and leaves the multipliers that attained it as row `depth + 1`.
+    fn bound(
         &mut self,
         instance: &Instance,
         state: &PartialState,
+        depth: usize,
         threshold: f64,
-    ) -> Vec<usize> {
+    ) -> f64 {
+        self.runs += 1;
+        if !self.filter(instance, state, threshold) {
+            return f64::INFINITY;
+        }
+        let m = self.machines;
+        let (parent, child) = self.rows[depth * m..(depth + 2) * m].split_at_mut(m);
+        self.lambda.copy_from_slice(parent);
+        child.copy_from_slice(parent);
+        let mut best = self.evaluate();
+        if best >= threshold {
+            self.inherited_prunes += 1;
+            return best;
+        }
+        for _ in 0..DUAL_STEPS {
+            self.ascend();
+            let value = self.evaluate();
+            if value > best {
+                best = value;
+                self.rows[(depth + 1) * m..(depth + 2) * m].copy_from_slice(&self.lambda);
+                if best >= threshold {
+                    break;
+                }
+            }
+        }
+        best
+    }
+
+    /// Recomputes the free tasks and their allowed machines. Returns `false`
+    /// when some free task has none left.
+    fn filter(&mut self, instance: &Instance, state: &PartialState, threshold: f64) -> bool {
         let app = instance.application();
-        let mut filtered = Vec::new();
-        for i in 0..instance.task_count() {
-            if state.assignment[i].is_some() {
+        let m = self.machines;
+        self.allowed.clear();
+        self.ends.clear();
+        for (u, load) in self.loads.iter_mut().enumerate() {
+            // Place/unplace churn can leave a ±ulp residue on an empty
+            // machine; clamping keeps every term of `L` nonnegative.
+            *load = state.loads.load_of(MachineId(u)).max(0.0);
+        }
+        for (i, placed) in state.assignment.iter().enumerate() {
+            if placed.is_some() {
                 continue;
             }
             let ty = app.task_type(TaskId(i));
-            for u in 0..self.machines {
-                let j = i * self.machines + u;
-                if self.fixed[j] {
-                    continue;
-                }
+            let start = self.allowed.len();
+            for (u, &cost) in self.costs[i * m..(i + 1) * m].iter().enumerate() {
                 let dedicated_elsewhere =
                     matches!(state.machine_type[u], Some(existing) if existing != ty);
-                let cannot_fit = state.loads.load_of(MachineId(u)) + self.costs[j] >= threshold;
-                if dedicated_elsewhere || cannot_fit {
-                    self.problem.set_bounds(self.x[j], 0.0, Some(0.0));
-                    self.fixed[j] = true;
-                    filtered.push(j);
+                if !dedicated_elsewhere && self.loads[u] + cost < threshold {
+                    self.allowed.push((u, cost));
                 }
             }
+            if self.allowed.len() == start {
+                return false;
+            }
+            self.ends.push(self.allowed.len());
         }
-        filtered
+        true
     }
 
-    /// Reverts one [`apply_filters`](Self::apply_filters).
-    fn undo_filters(&mut self, filtered: Vec<usize>) {
-        for j in filtered {
-            self.problem.set_bounds(self.x[j], 0.0, None);
-            self.fixed[j] = false;
+    /// The certified value of `L` at the current iterate; leaves the
+    /// subgradient `g_u = load_u + Σ_{i→u} c[i][u]` there (`i→u`: the
+    /// machine attaining task `i`'s minimum) in `gradient`.
+    fn evaluate(&mut self) -> f64 {
+        let mut value = 0.0;
+        let mut weight = 0.0;
+        for (&l, &load) in self.lambda.iter().zip(&self.loads) {
+            value += l * load;
+            weight += l;
         }
-    }
-
-    /// Solves the current (filtered, tightened) relaxation, warm-started
-    /// from the nearest ancestor optimum when available.
-    fn bound(&mut self, hint: Option<&LpSolution>) -> LpVerdict {
-        let outcome = match hint {
-            Some(previous) => resolve_tightened(&self.problem, previous).map(|warm| {
-                if warm.reused {
-                    self.reuses += 1;
-                } else {
-                    self.solves += 1;
+        self.gradient.copy_from_slice(&self.loads);
+        let mut start = 0;
+        for &end in &self.ends {
+            let (mut cheapest, mut pick) = (f64::INFINITY, self.allowed[start]);
+            for &(u, cost) in &self.allowed[start..end] {
+                let term = self.lambda[u] * cost;
+                if term < cheapest {
+                    (cheapest, pick) = (term, (u, cost));
                 }
-                warm.solution
-            }),
-            None => lp_solve(&self.problem).inspect(|_| {
-                self.solves += 1;
-            }),
+            }
+            value += cheapest;
+            self.gradient[pick.0] += pick.1;
+            start = end;
+        }
+        value / weight * self.shrink
+    }
+
+    /// One exponentiated-gradient step along the last evaluated
+    /// subgradient.
+    fn ascend(&mut self) {
+        let scale = self.gradient.iter().copied().fold(0.0, f64::max);
+        if scale <= 0.0 {
+            return;
+        }
+        let mut sum = 0.0;
+        for (l, &g) in self.lambda.iter_mut().zip(&self.gradient) {
+            *l *= (DUAL_STEP_SIZE * (g / scale - 1.0)).exp();
+            sum += *l;
+        }
+        self.lambda.iter_mut().for_each(|l| *l /= sum);
+    }
+}
+
+/// Every task's lower-bound contribution `c[i][u]` on every machine,
+/// row-major: its output-demand lower bound (mapping-independent) times its
+/// effective time on `u`.
+fn lower_bound_costs(instance: &Instance) -> Result<Vec<f64>> {
+    let n = instance.task_count();
+    let m = instance.machine_count();
+    let lower_demand = instance.demand_lower_bounds()?;
+    let app = instance.application();
+    let mut costs = vec![0.0; n * m];
+    for i in 0..n {
+        let task = TaskId(i);
+        let d = match app.successor(task) {
+            None => 1.0,
+            Some(succ) => lower_demand[succ.index()],
         };
-        match outcome {
-            Ok(solution) => LpVerdict::Bound(solution),
-            Err(mf_lp::LpError::Infeasible) => LpVerdict::Infeasible,
-            Err(_) => LpVerdict::Unavailable,
+        for u in 0..m {
+            costs[i * m + u] = d * instance.effective_time(task, MachineId(u));
         }
     }
+    Ok(costs)
 }
 
 struct SearchContext<'a> {
@@ -351,9 +345,8 @@ struct SearchContext<'a> {
     best_mapping: Option<Vec<MachineId>>,
     nodes: u64,
     aborted: bool,
-    /// The incrementally tightened LP relaxation (when
-    /// [`BnbConfig::lp_bounds`] is on).
-    lp: Option<LpBoundState>,
+    /// The Lagrangian dual bound tier (when [`BnbConfig::lp_bounds`] is on).
+    dual: Option<DualBound>,
 }
 
 struct PartialState {
@@ -443,8 +436,7 @@ impl<'a> SearchContext<'a> {
         depth: usize,
         state: &mut PartialState,
         remaining_min: f64,
-        lp_inherited: f64,
-        lp_hint: Option<&LpSolution>,
+        dual_inherited: f64,
     ) {
         if self.aborted {
             return;
@@ -471,44 +463,29 @@ impl<'a> SearchContext<'a> {
             return;
         }
 
-        // Cheap bounds first: max load, packing, and the LP value inherited
-        // from an ancestor. The ancestor's filtered optimum lower-bounds
-        // every completion beating the threshold it was filtered at (≥ the
-        // current one), so comparing it against the current threshold is a
-        // sound prune.
+        // Cheap bounds first: max load, packing, and the dual bound
+        // inherited from an ancestor. The ancestor's bound holds for every
+        // completion beating the threshold it was filtered at (≥ the current
+        // one), so comparing it against the current threshold is a sound
+        // prune.
         let m = self.instance.machine_count() as f64;
+        let threshold = self.best_period * (1.0 - self.config.tolerance);
         let packing_bound = (state.loads.total_load() + remaining_min) / m;
-        let bound = state.max_load(legacy).max(packing_bound).max(lp_inherited);
-        if bound >= self.best_period * (1.0 - self.config.tolerance) {
+        let bound = state
+            .max_load(legacy)
+            .max(packing_bound)
+            .max(dual_inherited);
+        if bound >= threshold {
             return;
         }
 
-        // LP tier, only consulted when the cheap bounds failed to prune:
-        // filter the relaxation against the incumbent, then re-solve it
-        // warm-started from the nearest ancestor optimum. The filters stay
-        // applied for the whole subtree (they only get more valid deeper)
-        // and are undone on backtrack. A simplex failure falls back to the
-        // cheap bounds — pruning less is always sound.
-        let mut node_solution: Option<LpSolution> = None;
-        let mut lp_bound = lp_inherited;
-        let mut node_filters: Option<Vec<usize>> = None;
-        if let Some(lp) = self.lp.as_mut() {
-            let threshold = self.best_period * (1.0 - self.config.tolerance);
-            let filters = lp.apply_filters(self.instance, state, threshold);
-            let pruned = match lp.bound(lp_hint) {
-                LpVerdict::Bound(solution) => {
-                    lp_bound = lp_bound.max(solution.objective);
-                    node_solution = Some(solution);
-                    lp_bound >= threshold
-                }
-                LpVerdict::Infeasible => true,
-                LpVerdict::Unavailable => false,
-            };
-            if pruned {
-                lp.undo_filters(filters);
+        // Dual tier, only consulted when the cheap bounds failed to prune.
+        let mut dual_bound = dual_inherited;
+        if let Some(dual) = self.dual.as_mut() {
+            dual_bound = dual_bound.max(dual.bound(self.instance, state, depth, threshold));
+            if dual_bound >= threshold {
                 return;
             }
-            node_filters = Some(filters);
         }
 
         let task = self.order[depth];
@@ -544,23 +521,10 @@ impl<'a> SearchContext<'a> {
             state.demand[task.index()] = x;
             state.loads.place(machine, increment);
             state.assignment[task.index()] = Some(machine);
-            let lp_undo = self.lp.as_mut().map(|lp| lp.seat(task, machine, increment));
 
-            self.search(
-                depth + 1,
-                state,
-                next_remaining_min,
-                lp_bound,
-                node_solution.as_ref().or(lp_hint),
-            );
+            self.search(depth + 1, state, next_remaining_min, dual_bound);
 
             // Undo.
-            if let Some(undo) = lp_undo {
-                self.lp
-                    .as_mut()
-                    .expect("lp state outlives the recursion")
-                    .unseat(undo);
-            }
             state.assignment[task.index()] = None;
             state.loads.unplace();
             state.demand[task.index()] = 0.0;
@@ -573,12 +537,6 @@ impl<'a> SearchContext<'a> {
             if self.aborted {
                 break;
             }
-        }
-        if let Some(filters) = node_filters {
-            self.lp
-                .as_mut()
-                .expect("lp state outlives the recursion")
-                .undo_filters(filters);
         }
         self.candidate_scratch[depth] = candidates;
     }
@@ -648,14 +606,14 @@ pub fn branch_and_bound_seeded(
         best_mapping: Some(seed.as_slice().to_vec()),
         nodes: 0,
         aborted: false,
-        lp: if config.lp_bounds {
-            Some(LpBoundState::new(instance)?)
+        dual: if config.lp_bounds {
+            Some(DualBound::new(instance, depths)?)
         } else {
             None
         },
     };
     let mut state = PartialState::new(instance);
-    context.search(0, &mut state, total_min, 0.0, None);
+    context.search(0, &mut state, total_min, 0.0);
 
     let assignment = context
         .best_mapping
@@ -663,9 +621,9 @@ pub fn branch_and_bound_seeded(
     let mapping = Mapping::new(assignment, instance.machine_count())?;
     let period = instance.period(&mapping)?;
     let (lp_solves, lp_reuses) = context
-        .lp
+        .dual
         .as_ref()
-        .map_or((0, 0), |lp| (lp.solves, lp.reuses));
+        .map_or((0, 0), |dual| (dual.runs, dual.inherited_prunes));
     Ok(BnbOutcome {
         mapping,
         period,
@@ -682,14 +640,33 @@ pub fn branch_and_bound_seeded(
 /// too). `None` when the simplex fails or the instance has no demand lower
 /// bounds; callers fall back to the packing bound.
 ///
-/// This is the bound the anytime solver streams before branch-and-bound
-/// tightens it, and the one [`BnbConfig::lp_bounds`] applies at every node.
+/// Variables: `x[i][u] ≥ 0`, the fraction of task `i` carried by machine
+/// `u`, and the makespan `K`; rows `Σ_i c[i][u]·x[i][u] ≤ K` per machine and
+/// `Σ_u x[i][u] = 1` per task. This is the bound the anytime solver streams
+/// before branch-and-bound tightens it; its Lagrangian dual is what
+/// [`BnbConfig::lp_bounds`] climbs at every node, solver-free.
 pub fn lp_root_bound(instance: &Instance) -> Option<f64> {
-    let mut lp = LpBoundState::new(instance).ok()?;
-    match lp.bound(None) {
-        LpVerdict::Bound(solution) => Some(solution.objective),
-        LpVerdict::Infeasible | LpVerdict::Unavailable => None,
+    let costs = lower_bound_costs(instance).ok()?;
+    let (n, m) = (instance.task_count(), instance.machine_count());
+    let mut problem = LpProblem::new(Objective::Minimize);
+    let x: Vec<VariableId> = (0..n * m)
+        .map(|j| problem.add_variable(format!("x{}_{}", j / m, j % m)))
+        .collect();
+    let k = problem.add_variable("K");
+    problem.set_objective_coefficient(k, 1.0);
+    for u in 0..m {
+        let mut terms: Vec<(VariableId, f64)> =
+            (0..n).map(|i| (x[i * m + u], costs[i * m + u])).collect();
+        terms.push((k, -1.0));
+        problem.add_constraint(terms, ConstraintSense::LessEqual, 0.0);
     }
+    for i in 0..n {
+        let terms: Vec<(VariableId, f64)> = (0..m).map(|u| (x[i * m + u], 1.0)).collect();
+        problem.add_constraint(terms, ConstraintSense::Equal, 1.0);
+    }
+    mf_lp::solve(&problem)
+        .ok()
+        .map(|solution| solution.objective)
 }
 
 #[cfg(test)]
@@ -719,6 +696,24 @@ mod tests {
         )
         .unwrap();
         Instance::new(app, platform, failures).unwrap()
+    }
+
+    /// A random in-tree: every task but the last feeds a later one, so
+    /// joins (tasks with several predecessors) are common.
+    fn random_tree_instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
+        let chain = random_instance(n, m, p, seed);
+        let mut s = seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1;
+        let successors: Vec<Option<usize>> = (0..n)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (i + 1 < n).then(|| i + 1 + (s % (n - 1 - i) as u64) as usize)
+            })
+            .collect();
+        let types: Vec<usize> = (0..n).map(|i| i % p).collect();
+        let app = Application::from_successors(&types, &successors).unwrap();
+        Instance::new(app, chain.platform().clone(), chain.failures().clone()).unwrap()
     }
 
     #[test]
@@ -787,34 +782,43 @@ mod tests {
 
     #[test]
     fn lp_bounds_find_the_same_optimum() {
-        for seed in 0..6 {
-            let inst = random_instance(8, 4, 2, 400 + seed);
-            let packing = branch_and_bound(&inst, BnbConfig::default()).unwrap();
-            let lp = branch_and_bound(
-                &inst,
-                BnbConfig {
-                    lp_bounds: true,
-                    ..BnbConfig::default()
-                },
-            )
-            .unwrap();
-            assert!(lp.proven_optimal && packing.proven_optimal);
-            assert!(
-                (lp.period.value() - packing.period.value()).abs() <= 1e-9,
-                "seed {seed}: LP optimum {} != packing optimum {}",
-                lp.period.value(),
-                packing.period.value()
-            );
-            assert!(
-                lp.nodes <= packing.nodes,
-                "seed {seed}: the LP bound dominates the packing bound, so \
-                 its tree cannot be larger ({} vs {})",
-                lp.nodes,
-                packing.nodes
-            );
-            assert!(lp.lp_solves > 0, "seed {seed}: the LP never ran");
-            assert_eq!(packing.lp_solves, 0);
-            assert_eq!(packing.lp_reuses, 0);
+        for seed in 0..8 {
+            for (shape, inst) in [
+                ("chain", random_instance(8, 4, 2, 400 + seed)),
+                ("chain", random_instance(10, 5, 3, 900 + seed)),
+                ("in-tree", random_tree_instance(10, 5, 3, 900 + seed)),
+            ] {
+                let packing = branch_and_bound(&inst, BnbConfig::default()).unwrap();
+                let lp = branch_and_bound(
+                    &inst,
+                    BnbConfig {
+                        lp_bounds: true,
+                        ..BnbConfig::default()
+                    },
+                )
+                .unwrap();
+                assert!(lp.proven_optimal && packing.proven_optimal);
+                assert_eq!(
+                    lp.period.value().to_bits(),
+                    packing.period.value().to_bits(),
+                    "{shape} seed {seed}: dual-bound optimum {} != packing optimum {}",
+                    lp.period.value(),
+                    packing.period.value()
+                );
+                assert!(inst.is_specialized(&lp.mapping));
+                assert!(
+                    lp.nodes <= packing.nodes,
+                    "{shape} seed {seed}: the dual tier only adds prunes, so \
+                     its tree cannot be larger ({} vs {})",
+                    lp.nodes,
+                    packing.nodes
+                );
+                assert!(
+                    lp.lp_solves > 0,
+                    "{shape} seed {seed}: the dual tier never ran"
+                );
+                assert_eq!((packing.lp_solves, packing.lp_reuses), (0, 0));
+            }
         }
     }
 
@@ -844,9 +848,75 @@ mod tests {
             packing.nodes
         );
         assert!(
-            lp.lp_reuses > 0,
-            "warm starts never fired on a 12-task search path"
+            lp.lp_solves > 0 && lp.lp_reuses <= lp.lp_solves,
+            "dual tier counters: {} runs, {} inherited prunes",
+            lp.lp_solves,
+            lp.lp_reuses
         );
+    }
+
+    /// The unfiltered root dual value: one node's worth of steps from
+    /// uniform multipliers.
+    fn root_dual_value(inst: &Instance) -> f64 {
+        let mut dual = DualBound::new(inst, inst.task_count()).unwrap();
+        dual.bound(inst, &PartialState::new(inst), 0, f64::INFINITY)
+    }
+
+    #[test]
+    fn root_dual_bound_is_certified_below_the_lp_and_the_optimum() {
+        for seed in 0..6 {
+            for inst in [
+                random_instance(8, 5, 2, 700 + seed),
+                random_tree_instance(8, 5, 2, 700 + seed),
+            ] {
+                let lp = lp_root_bound(&inst).expect("feasible relaxation");
+                let exact = brute_force_specialized(&inst).unwrap().period.value();
+                let value = root_dual_value(&inst);
+                assert!(value > 0.0, "seed {seed}: vacuous dual bound");
+                assert!(
+                    value <= lp,
+                    "seed {seed}: dual bound {value} above the LP optimum {lp}"
+                );
+                assert!(
+                    value <= exact,
+                    "seed {seed}: dual bound {value} above the optimum {exact}"
+                );
+            }
+        }
+        // Four identical failure-free tasks on two identical machines: at
+        // uniform multipliers `L` is the optimum 600 exactly, so only the
+        // certification shrink keeps the float value below it — by a few
+        // ulps, not a tolerance.
+        let app = Application::linear_chain(&[0, 0, 0, 0]).unwrap();
+        let platform = Platform::from_type_times(2, vec![vec![300.0, 300.0]]).unwrap();
+        let failures = FailureModel::uniform(4, 2, FailureRate::new(0.0).unwrap());
+        let inst = Instance::new(app, platform, failures).unwrap();
+        let exact = brute_force_specialized(&inst).unwrap().period.value();
+        assert_eq!(exact, 600.0);
+        let value = root_dual_value(&inst);
+        assert!(value < exact && value >= exact * (1.0 - 1e-12), "{value}");
+    }
+
+    #[test]
+    fn a_free_task_without_an_allowed_machine_prunes_the_node() {
+        // Machine 0 is dedicated to type 0 but too loaded to take another
+        // task under the threshold; machine 1 is idle but dedicated to type
+        // 1. A free type-0 task has nowhere to go.
+        let inst = random_instance(4, 2, 2, 3);
+        let threshold = 10_000.0;
+        let mut state = PartialState::new(&inst);
+        state.machine_type = vec![Some(TaskTypeId(0)), Some(TaskTypeId(1))];
+        state.loads.place(MachineId(0), threshold);
+        let mut dual = DualBound::new(&inst, inst.task_count()).unwrap();
+        assert_eq!(dual.bound(&inst, &state, 0, threshold), f64::INFINITY);
+        assert_eq!((dual.runs, dual.inherited_prunes), (1, 0));
+
+        // Freeing machine 1 gives every task an allowed machine again (the
+        // four tasks' costs there sum far below the threshold): the bound is
+        // finite and does not prune.
+        state.machine_type[1] = None;
+        let value = dual.bound(&inst, &state, 0, threshold);
+        assert!(value.is_finite() && value < threshold, "bound {value}");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!    lower bound valid for *every* mapping. The first event carries both.
 //! 2. **Heuristic slice** — a configurable share of the budget goes to the
 //!    subtree-move LNS polishing the seed; every improvement is an event.
-//! 3. **Exact phase** — the remaining budget drives LP-warm-started
-//!    branch-and-bound seeded with the heuristic incumbent. If it finishes,
-//!    the bound snaps to the incumbent and the gap closes to zero.
+//! 3. **Exact phase** — the remaining budget drives branch-and-bound with
+//!    the warm-started Lagrangian dual bound, seeded with the heuristic
+//!    incumbent. If it finishes, the bound snaps to the incumbent and the
+//!    gap closes to zero.
 //!
 //! Progress is measured in **steps** — heuristic evaluator calls plus
 //! branch-and-bound nodes — never wall-clock, so a run is bit-identical
@@ -44,9 +45,10 @@ pub struct AnytimeConfig {
     /// Relative optimality tolerance of the exact phase (see
     /// [`BnbConfig::tolerance`]).
     pub tolerance: f64,
-    /// Prune the exact phase with the filtered LP relaxation (see
-    /// [`BnbConfig::lp_bounds`]). On by default: the anytime mode targets
-    /// instances large enough that the smaller tree pays for the simplex.
+    /// Prune the exact phase with the Lagrangian dual bound of the filtered
+    /// LP relaxation (see [`BnbConfig::lp_bounds`]). On by default: the
+    /// anytime mode targets instances large enough that the smaller tree
+    /// pays for the per-node dual steps.
     pub lp_bounds: bool,
 }
 
@@ -127,7 +129,7 @@ pub struct AnytimeOutcome {
     pub steps: u64,
     /// Branch-and-bound nodes explored by the exact phase.
     pub nodes: u64,
-    /// LP relaxations solved / warm-reused by the exact phase.
+    /// Nodes where the exact phase's dual bound tier ran.
     pub lp_solves: u64,
     /// See [`BnbOutcome::lp_reuses`].
     pub lp_reuses: u64,

@@ -64,7 +64,9 @@ struct Counters {
     anytime_proven: AtomicU64,
     /// Branch-and-bound nodes explored by anytime solves.
     bnb_nodes: AtomicU64,
-    /// LP relaxations solved from scratch / warm-reused by anytime solves.
+    /// Branch-and-bound nodes where the dual bound tier ran / of those, nodes
+    /// pruned by inherited multipliers before any gradient step (anytime
+    /// solves).
     lp_solves: AtomicU64,
     lp_reuses: AtomicU64,
     sessions: AtomicU64,
@@ -1438,6 +1440,34 @@ mod tests {
         };
         let errors = stats.iter().find(|(k, _)| k == "errors").unwrap().1;
         assert_eq!(errors, 5);
+    }
+
+    #[test]
+    fn hostile_header_counts_are_rejected_typed() {
+        let engine = Engine::new(1);
+        let mut session = engine.begin_session();
+        // Header counts no payload could satisfy: rejected typed, without
+        // sizing a table (u64::MAX used to abort on a capacity overflow,
+        // 99999999 to stall for seconds).
+        for header in ["tasks 18446744073709551615", "tasks 99999999"] {
+            let hostile = engine.dispatch(
+                &mut session,
+                Request::Load {
+                    name: "hostile".into(),
+                    payload: text_payload(header),
+                },
+            );
+            assert!(
+                matches!(
+                    hostile,
+                    Response::Error {
+                        code: ErrorCode::InvalidPayload,
+                        ..
+                    }
+                ),
+                "{header}: {hostile:?}"
+            );
+        }
     }
 
     #[test]
